@@ -38,9 +38,7 @@ planBatches(const std::vector<double> &arrivalUs,
     return plans;
 }
 
-AdmissionQueue::AdmissionQueue(int capacity)
-    : capacity_(std::max(1, capacity))
-{}
+AdmissionQueue::AdmissionQueue(int capacity) : capacity_(capacity) {}
 
 bool
 AdmissionQueue::push(const Request &request)

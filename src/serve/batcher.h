@@ -67,7 +67,10 @@ std::vector<BatchPlan> planBatches(const std::vector<double> &arrivalUs,
 class AdmissionQueue
 {
   public:
-    /** @p capacity is the high-water mark; pushes beyond it shed. */
+    /**
+     * @p capacity is the high-water mark; pushes beyond it shed.
+     * ServingEndpoint validates it (>= 1) before building a queue.
+     */
     explicit AdmissionQueue(int capacity);
 
     /**

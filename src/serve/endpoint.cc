@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "core/thread_pool.h"
+#include "profiler/trace.h"
 #include "tensor/random.h"
 
 namespace aib::serve {
@@ -14,12 +15,20 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double
-microsSince(Clock::time_point t0)
+/** Unbinds this thread's trace session for the scope's lifetime. */
+class NoTraceScope
 {
-    return std::chrono::duration<double, std::micro>(Clock::now() - t0)
-        .count();
-}
+  public:
+    NoTraceScope() : previous_(profiler::exchangeActiveSession(nullptr))
+    {}
+    ~NoTraceScope() { profiler::exchangeActiveSession(previous_); }
+
+    NoTraceScope(const NoTraceScope &) = delete;
+    NoTraceScope &operator=(const NoTraceScope &) = delete;
+
+  private:
+    profiler::TraceSession *previous_;
+};
 
 } // namespace
 
@@ -41,14 +50,12 @@ struct ServingEndpoint::WorkerState {
     std::unique_ptr<core::TrainableTask> task;
     LatencyHistogram latency;
     std::vector<std::uint64_t> batchSizeCounts;
+    /** Serving kernels; recorded only when the endpoint traces. */
+    profiler::TraceSession trace;
     std::uint64_t served = 0;
     std::uint64_t batches = 0;
     /** Dynamic mode: digest fold in this worker's dispatch order. */
     double digestFold = 0.0;
-    /** Planned mode: slot bi belongs to the worker executing batch
-     *  bi; distinct slots, so no synchronization is needed. */
-    std::vector<double> *plannedDigests = nullptr;
-    std::vector<unsigned char> *plannedRan = nullptr;
 };
 
 struct ServingEndpoint::PlannedBatch {
@@ -61,18 +68,23 @@ ServingEndpoint::ServingEndpoint(
     const core::ComponentBenchmark &benchmark, EndpointOptions options,
     EndpointCallback onComplete)
     : benchmark_(benchmark), options_(std::move(options)),
-      onComplete_(std::move(onComplete))
+      onComplete_(std::move(onComplete)),
+      trace_(profiler::activeSession())
 {
     if (options_.workers < 1)
         throw std::invalid_argument("endpoint: workers must be >= 1");
     if (options_.policy.maxBatch < 1)
         throw std::invalid_argument("endpoint: maxBatch must be >= 1");
+    if (options_.policy.maxDelayUs < 0)
+        throw std::invalid_argument("endpoint: negative maxDelayUs");
+    if (options_.queueCapacity < 1)
+        throw std::invalid_argument(
+            "endpoint: queueCapacity must be >= 1");
     if (options_.batching == BatchingMode::Planned) {
         if (options_.plan.empty())
             throw std::invalid_argument(
                 "endpoint: planned batching needs a non-empty plan");
         pending_.resize(options_.plan.size());
-        std::unordered_map<int, int> seen;
         for (std::size_t b = 0; b < options_.plan.size(); ++b) {
             if (options_.plan[b].ids.empty())
                 throw std::invalid_argument(
@@ -80,7 +92,8 @@ ServingEndpoint::ServingEndpoint(
             pending_[b].expected =
                 static_cast<int>(options_.plan[b].ids.size());
             for (const int id : options_.plan[b].ids)
-                if (!seen.emplace(id, static_cast<int>(b)).second)
+                if (!plannedBatchOf_.emplace(id, static_cast<int>(b))
+                         .second)
                     throw std::invalid_argument(
                         "endpoint: plan repeats id " +
                         std::to_string(id));
@@ -99,42 +112,41 @@ ServingEndpoint::ServingEndpoint(
     plannedDigestSlots_.assign(options_.plan.size(), 0.0);
     plannedRanSlots_.assign(options_.plan.size(), 0);
     workers_.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-        auto state = std::make_unique<WorkerState>();
-        // Replicas are built sequentially here: constructors and
-        // runEpoch draw from the process-global RNG.
-        state->task = buildReplica(benchmark_, options_.seed,
-                                   options_.trainEpochs,
-                                   options_.warmupQueries);
-        state->batchSizeCounts.assign(
-            static_cast<std::size_t>(maxSize), 0);
-        state->plannedDigests = &plannedDigestSlots_;
-        state->plannedRan = &plannedRanSlots_;
-        workers_.push_back(std::move(state));
+    {
+        // Replicas are built sequentially here (constructors and
+        // runEpoch draw from the process-global RNG), and untraced:
+        // build, training and warmup are not serving work.
+        NoTraceScope untraced;
+        for (int w = 0; w < workers; ++w) {
+            auto state = std::make_unique<WorkerState>();
+            state->task = buildReplica(benchmark_, options_.seed,
+                                       options_.trainEpochs,
+                                       options_.warmupQueries);
+            state->batchSizeCounts.assign(
+                static_cast<std::size_t>(maxSize), 0);
+            workers_.push_back(std::move(state));
+        }
     }
 
     // The worker loops run as chunks of one parallel region on a
-    // dedicated pool (engine-style): every tensor op inside a loop
-    // executes inline on its worker, giving inter-query parallelism
-    // without oversubscribing the global tensor pool.
+    // dedicated pool: every tensor op inside a loop executes inline
+    // on its worker, giving inter-query parallelism without
+    // oversubscribing the global tensor pool.
     coordinator_ = std::thread([this, workers] {
         try {
             core::ThreadPool pool(workers);
             pool.parallelForChunked(
                 0, workers, 1,
                 [this](int chunk, std::int64_t, std::int64_t) {
+                    WorkerState &w =
+                        *workers_[static_cast<std::size_t>(chunk)];
                     try {
-                        workerLoop(*workers_[static_cast<std::size_t>(
-                            chunk)]);
+                        std::optional<profiler::ScopedTrace> scope;
+                        if (trace_)
+                            scope.emplace(w.trace);
+                        workerLoop(w);
                     } catch (...) {
-                        // Unblock peers before propagating.
-                        if (queue_)
-                            queue_->close();
-                        {
-                            core::MutexLock lock(mutex_);
-                            closed_ = true;
-                        }
-                        readyCv_.notify_all();
+                        close(); // unblock peers before propagating
                         throw;
                     }
                 });
@@ -171,24 +183,12 @@ ServingEndpoint::submit(const Request &request)
         core::MutexLock lock(mutex_);
         if (closed_)
             return SubmitResult::Closed;
-        int batch = -1;
-        int slot = -1;
-        for (std::size_t b = 0;
-             b < options_.plan.size() && batch < 0; ++b) {
-            const auto &ids = options_.plan[b].ids;
-            for (std::size_t k = 0; k < ids.size(); ++k) {
-                if (ids[k] == request.id) {
-                    batch = static_cast<int>(b);
-                    slot = static_cast<int>(k);
-                    break;
-                }
-            }
-        }
-        (void)slot;
-        if (batch < 0) {
+        const auto found = plannedBatchOf_.find(request.id);
+        if (found == plannedBatchOf_.end()) {
             plannedRejected_ += 1;
             return SubmitResult::UnknownId;
         }
+        const int batch = found->second;
         PlannedBatch &p = pending_[static_cast<std::size_t>(batch)];
         for (const Request &r : p.arrived)
             if (r.id == request.id) {
@@ -207,7 +207,7 @@ ServingEndpoint::submit(const Request &request)
         }
     }
     if (readyIndex >= 0)
-        readyCv_.notify_one();
+        stateCv_.notify_all();
     return SubmitResult::Accepted;
 }
 
@@ -217,7 +217,7 @@ ServingEndpoint::nextPlannedBatch(int *batchIndex,
 {
     core::MutexLock lock(mutex_);
     while (!closed_ && ready_.empty())
-        readyCv_.wait(lock.native());
+        stateCv_.wait(lock.native());
     if (ready_.empty())
         return false; // closed and drained
     const int bi = ready_.front();
@@ -232,33 +232,22 @@ ServingEndpoint::nextPlannedBatch(int *batchIndex,
 void
 ServingEndpoint::workerLoop(WorkerState &w)
 {
+    std::vector<Request> members;
+    std::vector<int> ids;
     if (options_.batching == BatchingMode::Dynamic) {
-        std::vector<Request> batch;
-        std::vector<int> ids;
-        while (queue_->popBatch(options_.policy, &batch)) {
+        while (queue_->popBatch(options_.policy, &members)) {
             ids.clear();
-            for (const Request &r : batch)
+            for (const Request &r : members)
                 ids.push_back(r.id);
             const double digest = w.task->serveBatch(ids);
             w.digestFold += digest;
-            w.batchSizeCounts[batch.size() - 1] += 1;
-            w.batches += 1;
-            for (const Request &r : batch) {
-                const double lat = microsSince(r.enqueue);
-                w.latency.record(lat);
-                w.served += 1;
-                if (onComplete_)
-                    onComplete_({r.id, digest, -1,
-                                 static_cast<int>(batch.size()),
-                                 lat});
-            }
+            complete(w, members, digest, -1,
+                     static_cast<int>(ids.size()));
         }
         return;
     }
 
     int bi = -1;
-    std::vector<Request> members;
-    std::vector<int> ids;
     while (nextPlannedBatch(&bi, &members)) {
         const auto &planned =
             options_.plan[static_cast<std::size_t>(bi)].ids;
@@ -278,18 +267,32 @@ ServingEndpoint::workerLoop(WorkerState &w)
                     }
         }
         const double digest = w.task->serveBatch(ids);
-        (*w.plannedDigests)[static_cast<std::size_t>(bi)] = digest;
-        (*w.plannedRan)[static_cast<std::size_t>(bi)] = 1;
-        w.batchSizeCounts[ids.size() - 1] += 1;
-        w.batches += 1;
-        for (const Request &r : members) {
-            const double lat = microsSince(r.enqueue);
-            w.latency.record(lat);
-            w.served += 1;
-            if (onComplete_)
-                onComplete_({r.id, digest, bi,
-                             static_cast<int>(ids.size()), lat});
-        }
+        // Slot bi belongs to the worker that popped batch bi.
+        plannedDigestSlots_[static_cast<std::size_t>(bi)] = digest;
+        plannedRanSlots_[static_cast<std::size_t>(bi)] = 1;
+        complete(w, members, digest, bi, static_cast<int>(ids.size()));
+    }
+}
+
+void
+ServingEndpoint::complete(WorkerState &w,
+                          const std::vector<Request> &members,
+                          double digest, long batchIndex, int batchSize)
+{
+    // One timestamp for the whole batch, before any callback runs: a
+    // slow callback (a socket send) must not count against the
+    // latency of the members after it.
+    const auto end = Clock::now();
+    w.batchSizeCounts[static_cast<std::size_t>(batchSize - 1)] += 1;
+    w.batches += 1;
+    w.served += members.size();
+    for (const Request &r : members) {
+        const double lat =
+            std::chrono::duration<double, std::micro>(end - r.enqueue)
+                .count();
+        w.latency.record(lat);
+        if (onComplete_)
+            onComplete_({r.id, digest, batchIndex, batchSize, lat});
     }
 }
 
@@ -302,6 +305,8 @@ ServingEndpoint::finish()
             batchSizeCounts_[s] += w->batchSizeCounts[s];
         completed_ += w->served;
         batchesServed_ += w->batches;
+        if (trace_)
+            trace_->merge(w->trace);
     }
     if (options_.batching == BatchingMode::Planned) {
         // Batch-index-order fold, regardless of execution order.
@@ -316,33 +321,41 @@ ServingEndpoint::finish()
 }
 
 void
+ServingEndpoint::close()
+{
+    {
+        core::MutexLock lock(mutex_);
+        closed_ = true;
+        // Flush partially-arrived planned batches: a connection that
+        // died mid-trace must not wedge the drain. Empty batches are
+        // simply skipped.
+        for (std::size_t b = 0; b < pending_.size(); ++b) {
+            PlannedBatch &p = pending_[b];
+            if (!p.enqueued && !p.arrived.empty()) {
+                p.enqueued = true;
+                ready_.push_back(static_cast<int>(b));
+            }
+        }
+    }
+    if (queue_)
+        queue_->close();
+    stateCv_.notify_all();
+}
+
+void
+ServingEndpoint::awaitClosed()
+{
+    core::MutexLock lock(mutex_);
+    while (!closed_)
+        stateCv_.wait(lock.native());
+}
+
+void
 ServingEndpoint::drain()
 {
     if (drained_)
         return;
-    if (options_.batching == BatchingMode::Dynamic) {
-        {
-            core::MutexLock lock(mutex_);
-            closed_ = true;
-        }
-        queue_->close();
-    } else {
-        {
-            core::MutexLock lock(mutex_);
-            closed_ = true;
-            // Flush partially-arrived batches: a connection that died
-            // mid-trace must not wedge the drain. Empty batches are
-            // simply skipped.
-            for (std::size_t b = 0; b < pending_.size(); ++b) {
-                PlannedBatch &p = pending_[b];
-                if (!p.enqueued && !p.arrived.empty()) {
-                    p.enqueued = true;
-                    ready_.push_back(static_cast<int>(b));
-                }
-            }
-        }
-        readyCv_.notify_all();
-    }
+    close();
     if (coordinator_.joinable())
         coordinator_.join();
     finish();

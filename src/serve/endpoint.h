@@ -1,24 +1,20 @@
 /**
  * @file
- * Push-driven serving endpoint: the enqueue hook the network server
- * sits on.
+ * Push-driven serving endpoint: the one serving core.
  *
- * @c serveBenchmark owns its whole lifecycle — it generates load,
- * serves it, and returns a report. A network server cannot use that
- * shape: requests arrive from sockets at times the engine does not
- * control, and completions must be routed back to the connection that
- * sent them. @c ServingEndpoint splits the engine at the admission
- * boundary: callers @c submit() requests from any thread, the same
- * AdmissionQueue/dynamic-batcher/worker-replica machinery serves
- * them, and a completion callback fires per request on the worker
- * that served it (docs/NETSERVE.md).
+ * Callers @c submit() requests from any thread; a bounded
+ * AdmissionQueue, the dynamic batcher and a pool of worker replicas
+ * serve them, and a completion callback fires per request on the
+ * worker that served it. The network server (docs/NETSERVE.md) and
+ * the in-process load driver @c serveBenchmark both sit on it, so
+ * in-process and networked numbers come from the same server code.
  *
  * Two batching modes:
  *
- *  - @c Dynamic: the engine's live path — bounded admission queue
- *    (shedding by rejection), batches closed at maxBatch or
- *    maxDelayUs. Batch composition depends on arrival timing, so
- *    digests are real but not reproducible run-to-run.
+ *  - @c Dynamic: the live path — bounded admission queue (shedding
+ *    by rejection), batches closed at maxBatch or maxDelayUs. Batch
+ *    composition depends on arrival timing, so digests are real but
+ *    not reproducible run-to-run.
  *
  *  - @c Planned: batch composition is fixed up front from a
  *    @c planBatches plan both sides can derive (seeded arrival
@@ -30,9 +26,18 @@
  *    arrivals. This is what lets a loopback netbench run be gated
  *    against the in-process replay digest in CI.
  *
- * Worker replicas are built exactly like the engine's (same seed
- * discipline), and worker loops run inside a dedicated ThreadPool
- * parallel region so every tensor op executes inline on its worker.
+ * Worker replicas are built with the same seed discipline as
+ * @c replayTrace's, and worker loops run inside a dedicated
+ * ThreadPool parallel region so every tensor op executes inline on
+ * its worker.
+ *
+ * Tracing follows the convention of core::ThreadPool and
+ * dag::Executor: if a profiler::TraceSession is active on the
+ * constructing thread, each worker records its serving kernels into
+ * a private session, and @c drain() merges those into the
+ * constructing thread's session in worker order. Replica
+ * build/train/warmup runs with no session active, so only serving
+ * work is counted; with no session active nothing is recorded.
  */
 
 #ifndef AIB_SERVE_ENDPOINT_H
@@ -45,12 +50,17 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/annotations.h"
 #include "core/benchmark.h"
 #include "serve/batcher.h"
 #include "serve/histogram.h"
+
+namespace aib::profiler {
+class TraceSession;
+} // namespace aib::profiler
 
 namespace aib::serve {
 
@@ -87,7 +97,9 @@ struct EndpointCompletion {
     double batchDigest = 0.0;   ///< digest of the batch it rode in
     long batchIndex = -1;       ///< planned-mode batch number
     int batchSize = 0;
-    double serverLatencyUs = 0; ///< submit -> served, server clock
+    /** Enqueue -> batch served, server clock; one timestamp per
+     *  batch, taken before any member's callback runs. */
+    double serverLatencyUs = 0;
 };
 
 /**
@@ -98,12 +110,11 @@ struct EndpointCompletion {
 using EndpointCallback = std::function<void(const EndpointCompletion &)>;
 
 /**
- * Build one serving replica the way the engine builds its worker
- * replicas: reseed the global RNG, construct, optionally train and
- * warm up. Replicas built with equal arguments are bitwise clones —
- * the digest-parity contract between live serving, replay and the
- * network endpoint. Must be called from one thread at a time (the
- * global RNG is process state).
+ * Build one serving replica: reseed the global RNG, construct,
+ * optionally train and warm up. Replicas built with equal arguments
+ * are bitwise clones — the digest-parity contract between live
+ * serving, replay and the network endpoint. Must be called from one
+ * thread at a time (the global RNG is process state).
  */
 std::unique_ptr<core::TrainableTask>
 buildReplica(const core::ComponentBenchmark &benchmark,
@@ -115,7 +126,10 @@ class ServingEndpoint
     /**
      * Build replicas (sequentially, on the calling thread) and start
      * the worker pool. Throws std::invalid_argument on nonsensical
-     * options (workers < 1, planned mode without a plan...).
+     * options (workers < 1, maxBatch < 1, maxDelayUs < 0,
+     * queueCapacity < 1, planned mode without a plan...). If a trace
+     * session is active on the calling thread, it must outlive the
+     * endpoint's drain.
      */
     ServingEndpoint(const core::ComponentBenchmark &benchmark,
                     EndpointOptions options, EndpointCallback onComplete);
@@ -134,10 +148,23 @@ class ServingEndpoint
     SubmitResult submit(const Request &request) AIB_EXCLUDES(mutex_);
 
     /**
-     * Stop admitting, serve everything already admitted (planned
-     * mode flushes partially-arrived batches so a dead client cannot
-     * wedge the drain), join the workers, and rethrow the first
-     * worker exception, if any. Idempotent.
+     * Stop admitting; everything already admitted is still served
+     * (planned mode flushes partially-arrived batches so a dead
+     * client cannot wedge the drain). Does not wait, so a completion
+     * callback may call it. Idempotent.
+     */
+    void close() AIB_EXCLUDES(mutex_);
+
+    /**
+     * Block until the endpoint stopped admitting: @c close() or
+     * @c drain() was called, or a worker failed.
+     */
+    void awaitClosed() AIB_EXCLUDES(mutex_);
+
+    /**
+     * @c close(), join the workers, merge their accounting (and
+     * traces, see the file comment), and rethrow the first worker
+     * exception, if any. Idempotent.
      */
     void drain();
 
@@ -169,6 +196,9 @@ class ServingEndpoint
     struct PlannedBatch;
 
     void workerLoop(WorkerState &w);
+    /** Deliver one served batch: accounting, then the callbacks. */
+    void complete(WorkerState &w, const std::vector<Request> &members,
+                  double digest, long batchIndex, int batchSize);
     bool nextPlannedBatch(int *batchIndex,
                           std::vector<Request> *members)
         AIB_EXCLUDES(mutex_);
@@ -177,13 +207,18 @@ class ServingEndpoint
     const core::ComponentBenchmark &benchmark_;
     const EndpointOptions options_;
     const EndpointCallback onComplete_;
+    /** The constructing thread's trace session, or nullptr. */
+    profiler::TraceSession *const trace_;
+    /** Planned mode: request id -> batch index; fixed at construction. */
+    std::unordered_map<int, int> plannedBatchOf_;
 
     std::vector<std::unique_ptr<WorkerState>> workers_;
     std::unique_ptr<AdmissionQueue> queue_; ///< dynamic mode
     std::thread coordinator_;
 
     mutable core::Mutex mutex_;
-    std::condition_variable readyCv_;
+    /** Signals growth of ready_ and the setting of closed_. */
+    std::condition_variable stateCv_;
     /** Planned mode: arrival buffers, one per planned batch. */
     std::vector<PlannedBatch> pending_ AIB_GUARDED_BY(mutex_);
     std::deque<int> ready_ AIB_GUARDED_BY(mutex_);

@@ -12,7 +12,6 @@
 #include "profiler/trace.h"
 #include "serve/endpoint.h"
 #include "serve/loadgen.h"
-#include "tensor/random.h"
 
 namespace aib::serve {
 
@@ -20,60 +19,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** Per-worker serving state; never shared across workers. */
+/** Per-worker replay state; never shared across workers. */
 struct WorkerState {
     std::unique_ptr<core::TrainableTask> task;
-    LatencyHistogram latency;
     std::vector<std::uint64_t> batchSizeCounts;
     profiler::TraceSession trace;
-    double energyJoules = 0.0; // replay mode accumulates per batch
+    double energyJoules = 0.0;
     std::uint64_t served = 0;
 };
 
-void
-validate(const ServingOptions &options)
-{
-    if (options.workers < 1)
-        throw std::invalid_argument("serve: workers must be >= 1");
-    if (options.queries < 1)
-        throw std::invalid_argument("serve: queries must be >= 1");
-    if (options.policy.maxBatch < 1)
-        throw std::invalid_argument("serve: maxBatch must be >= 1");
-    if (options.policy.maxDelayUs < 0)
-        throw std::invalid_argument("serve: negative maxDelayUs");
-    if (options.queueCapacity < 1)
-        throw std::invalid_argument("serve: queueCapacity must be >= 1");
-    if (options.mode == DriveMode::OpenLoop && options.qps <= 0.0)
-        throw std::invalid_argument("serve: open loop needs qps > 0");
-}
-
-/**
- * Build one bitwise-identical task replica per worker. Replicas are
- * constructed (and optionally trained and warmed) sequentially on
- * the calling thread: task constructors and runEpoch draw from the
- * process-global RNG, which is reseeded per replica and must not be
- * touched concurrently.
- */
-std::vector<WorkerState>
-buildWorkers(const core::ComponentBenchmark &benchmark,
-             const ServingOptions &options, int workers)
-{
-    std::vector<WorkerState> state(static_cast<std::size_t>(workers));
-    for (WorkerState &w : state) {
-        w.task = buildReplica(benchmark, options.seed,
-                              options.trainEpochs,
-                              options.warmupQueries);
-        w.batchSizeCounts.assign(
-            static_cast<std::size_t>(options.policy.maxBatch), 0);
-    }
-    return state;
-}
-
-/** Merge per-worker stats and the simulated-device columns. */
+/** A report carrying the run's options, before any results. */
 ServingReport
-assembleReport(const core::ComponentBenchmark &benchmark,
-               const ServingOptions &options,
-               std::vector<WorkerState> &state, const char *mode)
+reportHeader(const core::ComponentBenchmark &benchmark,
+             const ServingOptions &options, const char *mode)
 {
     ServingReport report;
     report.benchmarkId = benchmark.info.id;
@@ -82,30 +40,23 @@ assembleReport(const core::ComponentBenchmark &benchmark,
     report.maxBatch = options.policy.maxBatch;
     report.maxDelayUs = options.policy.maxDelayUs;
     report.seed = options.seed;
-    report.batchSizeCounts.assign(
-        static_cast<std::size_t>(options.policy.maxBatch), 0);
-
-    profiler::TraceSession merged;
-    std::uint64_t completed = 0;
-    for (WorkerState &w : state) {
-        report.latency.merge(w.latency);
-        for (std::size_t s = 0; s < w.batchSizeCounts.size(); ++s)
-            report.batchSizeCounts[s] += w.batchSizeCounts[s];
-        merged.merge(w.trace);
-        completed += w.served;
-    }
-    report.completed = static_cast<int>(completed);
-
-    if (completed > 0 && merged.totalLaunches() > 0) {
-        const gpusim::TraceSimResult sim =
-            gpusim::simulateTrace(merged, options.device);
-        report.energyPerQueryMj =
-            gpusim::simulatedEnergyJoules(sim, options.device) * 1e3 /
-            static_cast<double>(completed);
-        report.simServiceMsPerQuery =
-            sim.totalTimeSec * 1e3 / static_cast<double>(completed);
-    }
     return report;
+}
+
+/** The simulated-device columns from the run's serving kernels. */
+void
+setSimulatedColumns(ServingReport *report,
+                    const profiler::TraceSession &trace,
+                    const gpusim::DeviceSpec &device)
+{
+    if (report->completed <= 0 || trace.totalLaunches() == 0)
+        return;
+    const gpusim::TraceSimResult sim =
+        gpusim::simulateTrace(trace, device);
+    const auto completed = static_cast<double>(report->completed);
+    report->energyPerQueryMj =
+        gpusim::simulatedEnergyJoules(sim, device) * 1e3 / completed;
+    report->simServiceMsPerQuery = sim.totalTimeSec * 1e3 / completed;
 }
 
 } // namespace
@@ -114,38 +65,43 @@ ServingReport
 serveBenchmark(const core::ComponentBenchmark &benchmark,
                const ServingOptions &options)
 {
-    validate(options);
-    if (options.mode == DriveMode::Replay)
-        throw std::invalid_argument(
-            "serve: replay mode goes through replayTrace");
+    if (options.queries < 1)
+        throw std::invalid_argument("serve: queries must be >= 1");
     const bool closed = options.mode == DriveMode::ClosedLoop;
-    const BatchPolicy policy = options.policy;
-    const int workers = options.workers;
+    if (!closed && options.qps <= 0.0)
+        throw std::invalid_argument("serve: open loop needs qps > 0");
     const int queries = options.queries;
-
-    int concurrency =
+    const int concurrency = std::min(
         options.concurrency > 0
             ? options.concurrency
-            : 2 * policy.maxBatch * workers;
-    concurrency = std::min(concurrency, queries);
+            : 2 * options.policy.maxBatch * options.workers,
+        queries);
+
+    EndpointOptions eopts;
+    eopts.workers = options.workers;
+    eopts.policy = options.policy;
     // A closed loop never sheds: its in-flight bound is the queue
     // bound. An open loop sheds at the configured high-water mark.
-    const int capacity =
+    eopts.queueCapacity =
         closed ? std::max(options.queueCapacity, concurrency)
                : options.queueCapacity;
+    eopts.trainEpochs = options.trainEpochs;
+    eopts.warmupQueries = options.warmupQueries;
+    eopts.seed = options.seed;
 
-    std::vector<WorkerState> state =
-        buildWorkers(benchmark, options, workers);
-    AdmissionQueue queue(capacity);
+    // The endpoint records its serving kernels into this session and
+    // merges them at drain; they feed the simulated columns.
+    profiler::TraceSession trace;
+    profiler::ScopedTrace scope(trace);
 
     std::atomic<int> nextId{0};
-    std::atomic<int> completedCount{0};
-    const auto run_start = Clock::now();
+    std::atomic<int> done{0};
+    Clock::time_point run_start;
 
     // Closed loop: admit the request with the next unissued id, if
     // any. Issue order is the id order; arrivalUs is logical time
     // since run start.
-    const auto admitNext = [&] {
+    const auto admitNext = [&](ServingEndpoint &endpoint) {
         const int id = nextId.fetch_add(1, std::memory_order_relaxed);
         if (id >= queries)
             return;
@@ -156,107 +112,64 @@ serveBenchmark(const core::ComponentBenchmark &benchmark,
             std::chrono::duration<double, std::micro>(r.enqueue -
                                                       run_start)
                 .count();
-        queue.push(r);
+        (void)endpoint.submit(r);
     };
-
-    // The worker pool: chunk 0 drives load injection on the calling
-    // thread, chunks 1..workers run the serving loops. Bodies
-    // execute inside a parallel region, so every tensor op below
-    // them runs inline on its worker (inter-query parallelism).
-    core::ThreadPool pool(workers + 1);
-    pool.parallelForChunked(
-        0, workers + 1, 1,
-        [&](int chunk, std::int64_t, std::int64_t) {
-            if (chunk == 0) {
-                // ---- load-injection driver ----
-                try {
-                    if (closed) {
-                        for (int i = 0; i < concurrency; ++i)
-                            admitNext();
-                        // Workers admit replacements and close the
-                        // queue once every query completed.
-                        return;
-                    }
-                    const std::vector<double> arrivals = poissonTrace(
-                        options.seed, options.qps, queries);
-                    for (int i = 0; i < queries; ++i) {
-                        const auto due =
-                            run_start +
-                            std::chrono::duration_cast<
-                                Clock::duration>(
-                                std::chrono::duration<double,
-                                                      std::micro>(
-                                    arrivals[static_cast<std::size_t>(
-                                        i)]));
-                        std::this_thread::sleep_until(due);
-                        Request r;
-                        r.id = i;
-                        r.arrivalUs =
-                            arrivals[static_cast<std::size_t>(i)];
-                        r.enqueue = Clock::now();
-                        queue.push(r);
-                    }
-                    queue.close();
-                } catch (...) {
-                    queue.close(); // release blocked workers
-                    throw;
-                }
+    // Completions arrive on the workers. The closed loop replaces
+    // each one and stops admitting once every query completed.
+    ServingEndpoint endpoint(
+        benchmark, eopts, [&](const EndpointCompletion &) {
+            if (!closed)
                 return;
-            }
-            // ---- serving worker ----
-            WorkerState &w =
-                state[static_cast<std::size_t>(chunk - 1)];
-            try {
-                profiler::ScopedTrace scope(w.trace);
-                std::vector<Request> batch;
-                std::vector<int> ids;
-                while (queue.popBatch(policy, &batch)) {
-                    ids.clear();
-                    for (const Request &r : batch)
-                        ids.push_back(r.id);
-                    (void)w.task->serveBatch(ids);
-                    const auto end = Clock::now();
-                    for (const Request &r : batch)
-                        w.latency.record(
-                            std::chrono::duration<double, std::micro>(
-                                end - r.enqueue)
-                                .count());
-                    w.batchSizeCounts[batch.size() - 1] += 1;
-                    w.served += batch.size();
-                    if (closed) {
-                        for (std::size_t k = 0; k < batch.size(); ++k)
-                            admitNext();
-                        const int done =
-                            completedCount.fetch_add(
-                                static_cast<int>(batch.size()),
-                                std::memory_order_acq_rel) +
-                            static_cast<int>(batch.size());
-                        if (done >= queries)
-                            queue.close();
-                    }
-                }
-            } catch (...) {
-                queue.close(); // unblock peers before rethrowing
-                throw;
-            }
+            admitNext(endpoint);
+            if (done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+                queries)
+                endpoint.close();
         });
 
+    run_start = Clock::now();
+    if (closed) {
+        for (int i = 0; i < concurrency; ++i)
+            admitNext(endpoint);
+        // Every query completed, or a worker failed; drain() below
+        // rethrows the failure.
+        endpoint.awaitClosed();
+    } else {
+        const std::vector<double> arrivals =
+            poissonTrace(options.seed, options.qps, queries);
+        for (int i = 0; i < queries; ++i) {
+            const double at = arrivals[static_cast<std::size_t>(i)];
+            std::this_thread::sleep_until(
+                run_start + std::chrono::duration_cast<Clock::duration>(
+                                std::chrono::duration<double, std::micro>(
+                                    at)));
+            Request r;
+            r.id = i;
+            r.arrivalUs = at;
+            r.enqueue = Clock::now();
+            if (endpoint.submit(r) == SubmitResult::Closed)
+                break; // a worker failed; drain() rethrows it
+        }
+    }
+    endpoint.drain();
     const double wall =
         std::chrono::duration<double>(Clock::now() - run_start)
             .count();
 
-    ServingReport report = assembleReport(
-        benchmark, options, state, closed ? "closed" : "open");
+    ServingReport report =
+        reportHeader(benchmark, options, closed ? "closed" : "open");
     report.issued = queries;
-    report.rejected =
-        static_cast<int>(queue.rejected());
-    report.peakQueueDepth = queue.peakDepth();
+    report.completed = static_cast<int>(endpoint.completed());
+    report.rejected = static_cast<int>(endpoint.rejected());
+    report.peakQueueDepth = endpoint.peakQueueDepth();
     report.wallSeconds = wall;
     report.throughputQps =
         wall > 0.0 ? static_cast<double>(report.completed) / wall
                    : 0.0;
     if (!closed)
         report.openLoopQps = options.qps;
+    report.latency = endpoint.latency();
+    report.batchSizeCounts = endpoint.batchSizeCounts();
+    setSimulatedColumns(&report, trace, options.device);
     return report;
 }
 
@@ -265,14 +178,23 @@ replayTrace(const core::ComponentBenchmark &benchmark,
             const std::vector<double> &arrivalUs,
             const ServingOptions &options)
 {
-    validate(options);
     const int workers = options.workers;
+    if (workers < 1)
+        throw std::invalid_argument("replay: workers must be >= 1");
     const std::vector<BatchPlan> plans =
         planBatches(arrivalUs, options.policy);
     const auto n_batches = static_cast<std::int64_t>(plans.size());
 
-    std::vector<WorkerState> state =
-        buildWorkers(benchmark, options, workers);
+    // Replicas are built sequentially on the calling thread: task
+    // constructors and runEpoch draw from the process-global RNG.
+    std::vector<WorkerState> state(static_cast<std::size_t>(workers));
+    for (WorkerState &w : state) {
+        w.task = buildReplica(benchmark, options.seed,
+                              options.trainEpochs,
+                              options.warmupQueries);
+        w.batchSizeCounts.assign(
+            static_cast<std::size_t>(options.policy.maxBatch), 0);
+    }
 
     ReplayResult result;
     result.batches.resize(plans.size());
@@ -334,8 +256,19 @@ replayTrace(const core::ComponentBenchmark &benchmark,
                 end - arrivalUs[static_cast<std::size_t>(id)];
     }
 
-    ServingReport report =
-        assembleReport(benchmark, options, state, "replay");
+    ServingReport report = reportHeader(benchmark, options, "replay");
+    report.batchSizeCounts.assign(
+        static_cast<std::size_t>(options.policy.maxBatch), 0);
+    profiler::TraceSession merged;
+    std::uint64_t completed = 0;
+    for (const WorkerState &w : state) {
+        for (std::size_t s = 0; s < w.batchSizeCounts.size(); ++s)
+            report.batchSizeCounts[s] += w.batchSizeCounts[s];
+        merged.merge(w.trace);
+        completed += w.served;
+    }
+    report.completed = static_cast<int>(completed);
+    setSimulatedColumns(&report, merged, options.device);
     report.issued = static_cast<int>(arrivalUs.size());
     report.rejected = 0;
     report.wallSeconds = makespan_us / 1e6;
@@ -349,8 +282,8 @@ replayTrace(const core::ComponentBenchmark &benchmark,
     for (const double us : result.latencyUs)
         report.latency.record(us);
     // Replay energy was accumulated per batch; prefer that exact sum
-    // over assembleReport's merged-trace estimate (identical totals,
-    // but keep the per-batch path authoritative).
+    // over the merged-trace estimate (identical totals, but keep the
+    // per-batch path authoritative).
     double energy_joules = 0.0;
     for (const WorkerState &w : state)
         energy_joules += w.energyJoules;

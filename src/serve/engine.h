@@ -1,36 +1,28 @@
 /**
  * @file
- * Online model-serving engine (paper Sec. 4.2.1's online-inference
- * metrics, grown into a real serving path).
+ * In-process serving runs (paper Sec. 4.2.1's online-inference
+ * metrics: latency, tail latency, throughput, energy per query).
  *
- * A @c ServingEngine turns a registered component benchmark into a
- * servable endpoint: requests flow through a bounded admission queue
- * (backpressure by rejection, not unbounded growth), a dynamic
- * batcher (dispatch at maxBatch or maxDelayUs, whichever first) and
- * a pool of serving workers, each owning a private task replica
- * built from the same seed — replicas are bitwise-identical at
- * start, so no model state is ever shared across threads.
+ * @c serveBenchmark is a load driver over @c ServingEndpoint in
+ * dynamic-batching mode — the same server code @c netserve runs —
+ * so its numbers include what a deployed endpoint experiences:
+ * admission queueing and shedding, dynamic batching (dispatch at
+ * maxBatch or maxDelayUs, whichever first) and a pool of workers,
+ * each owning a private task replica built from the same seed.
  *
- * The worker pool reuses @c core::ThreadPool: the engine dispatches
- * one parallelForChunked over [0, workers+1) on a dedicated pool —
- * chunk 0 is the load-injection driver on the calling thread, chunks
- * 1..workers are the serving loops. Because chunk bodies run inside
- * a parallel region, every tensor op a worker issues executes inline
- * on that worker (nested parallelFor is serial by design), giving
- * inter-query parallelism without oversubscribing the tensor pool,
- * and each worker's kernels land in its own TraceSession.
- *
- * Three drive modes:
+ * Two live drive modes:
  *  - open loop: seeded Poisson arrivals at a target QPS, real
  *    sleeps; queueing delay and load shedding are visible.
  *  - closed loop: a fixed number of in-flight requests, each
  *    completion immediately admitting the next; measures peak
  *    sustainable throughput.
- *  - replay: a fixed arrival trace is planned into batches by the
- *    pure policy function, every batch is really executed (output
- *    digests), and latencies come from a discrete-event simulation
- *    with gpusim-projected service times — fully deterministic under
- *    a fixed seed and trace, regardless of wall clock.
+ *
+ * @c replayTrace is the deterministic counterpart: a fixed arrival
+ * trace is planned into batches by the pure policy function, every
+ * batch is really executed (output digests), and latencies come from
+ * a discrete-event simulation with gpusim-projected service times —
+ * fully deterministic under a fixed seed and trace, regardless of
+ * wall clock.
  */
 
 #ifndef AIB_SERVE_ENGINE_H
@@ -47,11 +39,10 @@
 
 namespace aib::serve {
 
-/** How the load generator drives the engine. */
+/** How the load generator drives a live serving run. */
 enum class DriveMode {
     OpenLoop,
     ClosedLoop,
-    Replay,
 };
 
 /** Options for one serving run. */
@@ -88,9 +79,12 @@ struct ReplayResult {
 
 /**
  * Run a live (open- or closed-loop) serving session of @p benchmark
- * and return its report. Throws std::invalid_argument on nonsensical
- * options (workers < 1, queries < 1, replay mode — use
- * @c replayTrace for that).
+ * on a @c ServingEndpoint and return its report. The simulated
+ * columns come from the serving kernels only (replica build, training
+ * and warmup are not traced). Throws std::invalid_argument on
+ * nonsensical options (queries < 1, open loop without a positive
+ * qps, or anything @c ServingEndpoint rejects), and rethrows a
+ * serving worker's failure.
  */
 ServingReport serveBenchmark(const core::ComponentBenchmark &benchmark,
                              const ServingOptions &options);

@@ -187,10 +187,10 @@ LatencyHistogram::percentileUs(double pct) const
     if (count_ == 0)
         return 0.0;
     pct = std::clamp(pct, 0.0, 100.0);
-    // Same nearest-rank-with-interpolation convention as
-    // core::percentile, quantized to bucket granularity: the sample
-    // at (fractional) rank pct/100 * (count-1), counting from the
-    // smallest.
+    // Same nearest-rank-with-interpolation convention as the exact
+    // reference in tests/testing/percentile.h, quantized to bucket
+    // granularity: the sample at (fractional) rank
+    // pct/100 * (count-1), counting from the smallest.
     const double rank =
         pct / 100.0 * static_cast<double>(count_ - 1);
     const auto target = static_cast<std::uint64_t>(rank);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the inference-metrics harness, the energy model, trace
- * CSV export, and checkpoint serialization.
+ * Tests for the energy model, trace CSV export, and checkpoint
+ * serialization.
  */
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/inference.h"
 #include "core/registry.h"
 #include "core/runner.h"
 #include "gpusim/kernel_model.h"
@@ -22,44 +21,6 @@
 
 namespace aib {
 namespace {
-
-TEST(Percentile, InterpolatesAndValidates)
-{
-    std::vector<double> v{1, 2, 3, 4, 5};
-    EXPECT_DOUBLE_EQ(core::percentile(v, 0), 1.0);
-    EXPECT_DOUBLE_EQ(core::percentile(v, 100), 5.0);
-    EXPECT_DOUBLE_EQ(core::percentile(v, 50), 3.0);
-    EXPECT_DOUBLE_EQ(core::percentile(v, 25), 2.0);
-    EXPECT_THROW(core::percentile({}, 50), std::invalid_argument);
-}
-
-TEST(Inference, MeasuresLatencyDistribution)
-{
-    const auto *b = core::findBenchmark("DC-AI-C16");
-    core::InferenceOptions options;
-    options.queries = 12;
-    options.warmupQueries = 1;
-    core::InferenceResult r = core::measureInference(*b, 7, options);
-    EXPECT_EQ(r.queries, 12);
-    EXPECT_GT(r.meanLatencyMs, 0.0);
-    EXPECT_LE(r.p50LatencyMs, r.p90LatencyMs);
-    EXPECT_LE(r.p90LatencyMs, r.p99LatencyMs);
-    EXPECT_LE(r.p99LatencyMs, r.maxLatencyMs);
-    EXPECT_GT(r.throughputQps, 0.0);
-    EXPECT_GT(r.simulatedLatencyMs, 0.0);
-    EXPECT_GT(r.simulatedEnergyMj, 0.0);
-}
-
-TEST(Inference, HeavierModelHasHigherSimulatedLatency)
-{
-    core::InferenceOptions options;
-    options.queries = 4;
-    core::InferenceResult light = core::measureInference(
-        *core::findBenchmark("DC-AI-C16"), 7, options);
-    core::InferenceResult heavy = core::measureInference(
-        *core::findBenchmark("DC-AI-C9"), 7, options);
-    EXPECT_GT(heavy.simulatedLatencyMs, light.simulatedLatencyMs);
-}
 
 TEST(Energy, ScalesWithWorkAndStaysBounded)
 {

@@ -1,11 +1,11 @@
 /**
  * @file
  * ServingEngine behaviour: closed-loop accounting, open-loop
- * overload shedding, option validation, and the determinism
- * guarantees of replay mode — identical batch composition and
- * bitwise-identical model outputs regardless of worker count, a
- * repeatable latency stream, and the >= 2x dynamic-batching win on
- * the simulated device (DC-AI-C1).
+ * overload shedding, option validation, per-model simulated service
+ * cost at batch 1, and the determinism guarantees of replay mode —
+ * identical batch composition and bitwise-identical model outputs
+ * regardless of worker count, a repeatable latency stream, and the
+ * >= 2x dynamic-batching win on the simulated device (DC-AI-C1).
  */
 
 #include <vector>
@@ -62,8 +62,10 @@ TEST(ServingEngine, RejectsNonsensicalOptions)
     EXPECT_THROW(serve::serveBenchmark(c1(), options),
                  std::invalid_argument);
 
+    // The endpoint's own checks reach serveBenchmark's caller.
     options = ServingOptions();
-    options.mode = DriveMode::Replay;
+    options.mode = DriveMode::OpenLoop;
+    options.queueCapacity = 0;
     EXPECT_THROW(serve::serveBenchmark(c1(), options),
                  std::invalid_argument);
 }
@@ -209,6 +211,26 @@ TEST(ServingEngine, DynamicBatchingHalvesSimulatedServiceTime)
         << "dynamic batching must amortize per-kernel overhead";
     EXPECT_GE(unbatched.report.energyPerQueryMj,
               2.0 * batched.report.energyPerQueryMj);
+}
+
+TEST(ServingEngine, HeavierModelHasHigherSimulatedServiceTime)
+{
+    // Batch-1 closed loop, one worker: the per-query simulated
+    // service time is the single-query inference cost on the device.
+    ServingOptions options;
+    options.mode = DriveMode::ClosedLoop;
+    options.workers = 1;
+    options.policy.maxBatch = 1;
+    options.concurrency = 1;
+    options.queries = 4;
+    const ServingReport light = serve::serveBenchmark(
+        *core::findBenchmark("DC-AI-C16"), options);
+    const ServingReport heavy = serve::serveBenchmark(
+        *core::findBenchmark("DC-AI-C9"), options);
+    ASSERT_EQ(light.completed, 4);
+    ASSERT_EQ(heavy.completed, 4);
+    EXPECT_GT(light.simServiceMsPerQuery, 0.0);
+    EXPECT_GT(heavy.simServiceMsPerQuery, light.simServiceMsPerQuery);
 }
 
 TEST(ServingEngine, DefaultServePathCoversUnbatchedTasks)

@@ -1,7 +1,7 @@
 /**
  * @file
  * LatencyHistogram vs. the exact sorted-vector reference
- * (core::percentile) on adversarial latency distributions, plus the
+ * (testing::percentile) on adversarial latency distributions, plus the
  * algebra the serving engine relies on: merge associativity, merge ==
  * record-all, and exactness of min/max/mean/single-sample queries.
  */
@@ -12,8 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/inference.h"
 #include "serve/histogram.h"
+#include "testing/percentile.h"
 
 using aib::serve::LatencyHistogram;
 
@@ -30,14 +30,14 @@ expectMatchesReference(const LatencyHistogram &h,
 {
     ASSERT_EQ(h.count(), samples.size());
     for (const double pct : {0.0, 10.0, 50.0, 90.0, 95.0, 99.0, 100.0}) {
-        const double exact = aib::core::percentile(samples, pct);
+        const double exact = aib::testing::percentile(samples, pct);
         const double approx = h.percentileUs(pct);
         EXPECT_NEAR(approx, exact, 0.10 * exact + 1e-9)
             << "p" << pct;
     }
     // The extremes are tracked exactly, not via buckets.
-    const double exact_min = aib::core::percentile(samples, 0.0);
-    const double exact_max = aib::core::percentile(samples, 100.0);
+    const double exact_min = aib::testing::percentile(samples, 0.0);
+    const double exact_max = aib::testing::percentile(samples, 100.0);
     EXPECT_DOUBLE_EQ(h.minUs(), exact_min);
     EXPECT_DOUBLE_EQ(h.maxUs(), exact_max);
     EXPECT_DOUBLE_EQ(h.percentileUs(0.0), exact_min);
@@ -54,6 +54,16 @@ histogramOf(const std::vector<double> &samples)
 }
 
 } // namespace
+
+TEST(Percentile, InterpolatesAndValidates)
+{
+    const std::vector<double> v{1, 2, 3, 4, 5};
+    EXPECT_DOUBLE_EQ(aib::testing::percentile(v, 0), 1.0);
+    EXPECT_DOUBLE_EQ(aib::testing::percentile(v, 100), 5.0);
+    EXPECT_DOUBLE_EQ(aib::testing::percentile(v, 50), 3.0);
+    EXPECT_DOUBLE_EQ(aib::testing::percentile(v, 25), 2.0);
+    EXPECT_THROW(aib::testing::percentile({}, 50), std::invalid_argument);
+}
 
 TEST(LatencyHistogram, EmptyReportsZero)
 {

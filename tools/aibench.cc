@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,7 +28,6 @@
 #include "core/checkpoint.h"
 #include "core/cost.h"
 #include "core/faultinject.h"
-#include "core/inference.h"
 #include "core/registry.h"
 #include "core/runner.h"
 #include "core/subset.h"
@@ -388,30 +388,6 @@ cmdCharacterize(int argc, char **argv)
             core::traceTrainingEpochs(*b, options.seed, 0, 1);
         std::printf("\n%s", profiler::toCsv(trace).c_str());
     }
-    return 0;
-}
-
-int
-cmdInference(int argc, char **argv)
-{
-    if (argc < 1)
-        return usage();
-    const auto *b = requireBenchmark(argv[0]);
-    core::InferenceOptions options;
-    options.queries =
-        static_cast<int>(argValue(argc, argv, "--queries", 50));
-    options.trainEpochs = 1;
-    core::InferenceResult r = core::measureInference(*b, 42, options);
-    std::printf("%s inference over %d queries:\n", b->info.id.c_str(),
-                r.queries);
-    std::printf("  latency mean/p50/p90/p99/max: "
-                "%.3f / %.3f / %.3f / %.3f / %.3f ms\n",
-                r.meanLatencyMs, r.p50LatencyMs, r.p90LatencyMs,
-                r.p99LatencyMs, r.maxLatencyMs);
-    std::printf("  host throughput: %.0f qps\n", r.throughputQps);
-    std::printf("  simulated (%s): %.4f ms, %.4f mJ per query\n",
-                options.device.name.c_str(), r.simulatedLatencyMs,
-                r.simulatedEnergyMj);
     return 0;
 }
 
@@ -887,7 +863,12 @@ cmdServe(int argc, char **argv)
                     "id", "mode", "done", "rej", "qps", "p50ms",
                     "p95ms", "p99ms", "batch", "mJ/query");
     for (const auto *b : benchmarks) {
-        reports.push_back(serve::serveBenchmark(*b, options));
+        try {
+            reports.push_back(serve::serveBenchmark(*b, options));
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "serve: %s\n", e.what());
+            return 2;
+        }
         const auto &r = reports.back();
         if (!as_json)
             std::printf("%-20s %-7s %6d %5d %9.1f %8.3f %8.3f "
@@ -1007,8 +988,13 @@ cmdNetserve(int argc, char **argv)
     const double qps = parseQps(argc, argv, 500.0);
     if (ep.batching == serve::BatchingMode::Planned) {
         // Both sides derive this plan; the Hello fingerprint pins it.
-        ep.plan = serve::planBatches(
-            serve::poissonTrace(ep.seed, qps, queries), ep.policy);
+        try {
+            ep.plan = serve::planBatches(
+                serve::poissonTrace(ep.seed, qps, queries), ep.policy);
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "netserve: %s\n", e.what());
+            return 2;
+        }
         options.helloQueries = static_cast<std::uint32_t>(queries);
         options.helloQps = qps;
     }
@@ -1343,9 +1329,6 @@ constexpr Command kCommands[] = {
     {"characterize", "<id> [--csv]",
      "parameters, FLOPs, microarch metrics, runtime breakdown",
      cmdCharacterize},
-    {"inference", "<id> [--queries N]",
-     "latency / tail latency / throughput / energy per query",
-     cmdInference},
     {"lint", "[--all | <id> | SCN-*] [--seed N] [--json] [--out FILE]",
      "graph auditor: static FLOP/shape cross-check + lint rules",
      cmdLint},
