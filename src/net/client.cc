@@ -28,7 +28,7 @@ using Clock = std::chrono::steady_clock;
 
 /** "AIBW": magic of a worker result blob on the parent pipe. */
 constexpr std::uint32_t kWorkerMagic = 0x57424941u;
-constexpr std::uint16_t kWorkerVersion = 1;
+constexpr std::uint16_t kWorkerVersion = 2;
 
 std::uint64_t
 bitsOf(double v)
@@ -47,6 +47,7 @@ struct ConnOutcome {
     std::uint64_t lateSends = 0;
     double maxLatenessUs = 0.0;
     bool fatal = false; ///< handshake/transport failure
+    std::uint32_t serverWorkers = 0; ///< from the HelloAck
     /** (batchIndex, digest) pairs observed in Reply frames. */
     std::vector<std::pair<std::uint64_t, double>> batchDigests;
 };
@@ -58,6 +59,7 @@ struct WorkerOutcome {
     std::uint64_t replies = 0;
     std::uint64_t shed = 0;
     std::uint64_t fatalConns = 0;
+    std::uint32_t serverWorkers = 0;
     std::uint64_t lateSends = 0;
     double maxLatenessUs = 0.0;
     double wallSeconds = 0.0;
@@ -75,6 +77,7 @@ encodeWorkerOutcome(const WorkerOutcome &w)
     by::putU64(&out, w.replies);
     by::putU64(&out, w.shed);
     by::putU64(&out, w.fatalConns);
+    by::putU32(&out, w.serverWorkers);
     by::putU64(&out, w.lateSends);
     by::putF64(&out, w.maxLatenessUs);
     by::putF64(&out, w.wallSeconds);
@@ -109,13 +112,14 @@ decodeWorkerOutcome(const std::string &bytes, WorkerOutcome *out,
     if (version != kWorkerVersion)
         return fail("worker blob: unsupported version");
     WorkerOutcome w;
-    std::string conflict;
+    std::uint8_t conflict = 0;
     if (!in.getU64(&w.sent) || !in.getU64(&w.replies) ||
         !in.getU64(&w.shed) || !in.getU64(&w.fatalConns) ||
-        !in.getU64(&w.lateSends) || !in.getF64(&w.maxLatenessUs) ||
-        !in.getF64(&w.wallSeconds) || !in.getBytes(&conflict, 1))
+        !in.getU32(&w.serverWorkers) || !in.getU64(&w.lateSends) ||
+        !in.getF64(&w.maxLatenessUs) || !in.getF64(&w.wallSeconds) ||
+        !in.getU8(&conflict))
         return fail("worker blob: truncated counters");
-    w.digestConflict = conflict[0] != 0;
+    w.digestConflict = conflict != 0;
     std::uint32_t nBatches = 0;
     if (!in.getU32(&nBatches))
         return fail("worker blob: truncated digest count");
@@ -275,13 +279,16 @@ runConnection(const RunPlan &plan, int connIndex)
         return out;
     }
     Frame frame;
+    HelloAckMsg ack;
     if (!readableWithin(fd, static_cast<int>(o.replyTimeoutMs)) ||
         readFrame(fd, &frame) != IoStatus::Ok ||
-        frame.type != FrameType::HelloAck) {
+        frame.type != FrameType::HelloAck ||
+        !decodeHelloAck(frame.payload, &ack)) {
         out.fatal = true;
         ::close(fd);
         return out;
     }
+    out.serverWorkers = ack.workers;
 
     // The ids this connection owns, ascending (so open-loop
     // scheduled times are ascending too).
@@ -424,6 +431,7 @@ runWorker(const RunPlan &plan, int workerIndex, int numWorkers)
         w.maxLatenessUs = std::max(w.maxLatenessUs, c.maxLatenessUs);
         if (c.fatal)
             w.fatalConns += 1;
+        w.serverWorkers = std::max(w.serverWorkers, c.serverWorkers);
         for (const auto &[index, digest] : c.batchDigests) {
             const auto it = w.batchDigests.find(index);
             if (it == w.batchDigests.end())
@@ -617,6 +625,8 @@ runNetBench(const NetBenchOptions &options)
         result.wallSeconds =
             std::max(result.wallSeconds, w.wallSeconds);
         fatalConns += w.fatalConns;
+        result.serverWorkers = std::max(
+            result.serverWorkers, static_cast<int>(w.serverWorkers));
         digestConflict |= w.digestConflict;
         for (const auto &[index, digest] : w.batchDigests) {
             const auto it = digests.find(index);

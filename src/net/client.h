@@ -80,6 +80,9 @@ struct NetBenchOptions {
 struct NetBenchResult {
     serve::LatencyHistogram latency; ///< merged across all workers
     int workersMerged = 0;           ///< histograms merged in parent
+    /** The server's serving-worker count, from its HelloAck; the
+     *  in-process baseline of the report runs with the same count. */
+    int serverWorkers = 0;
 
     std::uint64_t sent = 0;
     std::uint64_t replies = 0;

@@ -51,14 +51,11 @@ readFrame(int fd, Frame *out, std::string *error)
 
     core::bytes::Reader in(header, sizeof(header));
     std::uint32_t magic = 0, length = 0;
-    std::string vt;
+    std::uint8_t version = 0, type = 0;
     (void)in.getU32(&magic);
-    (void)in.getBytes(&vt, 2);
+    (void)in.getU8(&version);
+    (void)in.getU8(&type);
     (void)in.getU32(&length);
-    const auto version = static_cast<std::uint8_t>(
-        static_cast<unsigned char>(vt[0]));
-    const auto type = static_cast<std::uint8_t>(
-        static_cast<unsigned char>(vt[1]));
     if (magic != kNetMagic) {
         setError(error, "net: bad frame magic");
         return IoStatus::Corrupt;

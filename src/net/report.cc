@@ -67,7 +67,7 @@ buildNetserveReport(const core::ComponentBenchmark &benchmark,
         return report;
 
     serve::ServingOptions sopts;
-    sopts.workers = 2;
+    sopts.workers = net.serverWorkers;
     sopts.policy = options.policy;
     sopts.queries = options.queries;
     sopts.seed = options.seed;
@@ -115,6 +115,7 @@ netserveReportToJson(const NetserveReport &r)
                 : "dynamic");
     appendf(&out, "  \"processes\": %d,\n", r.options.processes);
     appendf(&out, "  \"connections\": %d,\n", r.options.connections);
+    appendf(&out, "  \"server_workers\": %d,\n", r.net.serverWorkers);
     appendf(&out, "  \"queries\": %d,\n", r.options.queries);
     appendf(&out, "  \"qps\": %.3f,\n", r.options.qps);
     appendf(&out, "  \"seed\": %llu,\n",

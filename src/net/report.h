@@ -3,7 +3,8 @@
  * The aib.netserve/1 report: what does the network cost?
  *
  * A netbench run and an in-process run of the *same* seeded trace
- * against the *same* engine configuration differ only by the
+ * against the *same* engine configuration (the in-process run takes
+ * the server's worker count from its HelloAck) differ only by the
  * socket, the protocol codec and the process boundary — so their
  * latency gap is the network serving tax, and their digests must
  * not differ at all (planned mode executes the identical batch

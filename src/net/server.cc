@@ -83,6 +83,10 @@ struct NetServer::Conn {
 };
 
 struct NetServer::Impl {
+    Impl(const core::ComponentBenchmark &b, NetServerOptions o)
+        : benchmark(b), options(std::move(o))
+    {}
+
     const core::ComponentBenchmark &benchmark;
     NetServerOptions options;
 
@@ -796,7 +800,7 @@ struct NetServer::Impl {
 
 NetServer::NetServer(const core::ComponentBenchmark &benchmark,
                      NetServerOptions options)
-    : impl_(new Impl{benchmark, std::move(options)})
+    : impl_(new Impl(benchmark, std::move(options)))
 {}
 
 NetServer::~NetServer()

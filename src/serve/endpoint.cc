@@ -190,15 +190,17 @@ ServingEndpoint::submit(const Request &request)
         }
         const int batch = found->second;
         PlannedBatch &p = pending_[static_cast<std::size_t>(batch)];
+        // Tested first: a worker moves `arrived` out of a flushed
+        // batch, so the duplicate scan below would answer by timing.
+        if (p.enqueued) {
+            plannedRejected_ += 1;
+            return SubmitResult::Closed; // batch already flushed
+        }
         for (const Request &r : p.arrived)
             if (r.id == request.id) {
                 plannedRejected_ += 1;
                 return SubmitResult::UnknownId; // duplicate
             }
-        if (p.enqueued) {
-            plannedRejected_ += 1;
-            return SubmitResult::Closed; // batch already flushed
-        }
         p.arrived.push_back(request);
         if (static_cast<int>(p.arrived.size()) == p.expected) {
             p.enqueued = true;

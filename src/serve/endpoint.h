@@ -87,8 +87,9 @@ struct EndpointOptions {
 enum class SubmitResult {
     Accepted,
     Shed,      ///< dynamic mode: admission queue at capacity
-    Closed,    ///< endpoint is draining / drained
-    UnknownId, ///< planned mode: id outside the plan (or duplicate)
+    Closed,    ///< draining / drained, or planned: batch already flushed
+    UnknownId, ///< planned mode: id outside the plan, or a duplicate
+               ///< in a batch still filling
 };
 
 /** Delivered to the completion callback, once per served request. */

@@ -4,6 +4,10 @@
 #include <cstdlib>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/annotations.h"
 
 namespace aib::arena {
@@ -314,9 +318,31 @@ allocateAt(std::size_t offset, std::size_t bytes)
 
 namespace detail {
 
+namespace {
+
+/**
+ * Pin glibc's mmap and trim thresholds (see the file comment in
+ * arena.h). Setting either one turns off glibc's dynamic adjustment
+ * of both; the mmap threshold is glibc's own dynamic maximum.
+ */
+bool
+pinHeapPolicy()
+{
+#if defined(__GLIBC__)
+    constexpr int kMmapThreshold = 32 << 20;
+    constexpr int kTrimThreshold = 64 << 20;
+    mallopt(M_MMAP_THRESHOLD, kMmapThreshold);
+    mallopt(M_TRIM_THRESHOLD, kTrimThreshold);
+#endif
+    return true;
+}
+
+} // namespace
+
 void *
 allocateRouted(std::size_t bytes)
 {
+    [[maybe_unused]] static const bool pinned = pinHeapPolicy();
     if (enabled())
         return instance().allocate(bytes);
     return ::operator new(bytes);

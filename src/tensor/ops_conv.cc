@@ -38,7 +38,32 @@ convOutSize(std::int64_t in, int kernel, int stride, int padding)
 }
 
 /**
+ * Output columns [lo, hi) of kernel column @p kj whose input column
+ * oj*stride + (kj - padding) lies in [0, w); the columns outside it
+ * read padding. Both ends are clamped to [0, wo].
+ */
+struct ColSpan {
+    std::int64_t lo, hi;
+};
+
+ColSpan
+validCols(std::int64_t w, std::int64_t wo, int kj, int stride,
+          int padding)
+{
+    const std::int64_t off = kj - padding;
+    const std::int64_t lo =
+        std::min(wo, off >= 0 ? 0 : (stride - 1 - off) / stride);
+    const std::int64_t lim = w - off;
+    const std::int64_t hi =
+        lim <= 0 ? lo : std::clamp((lim + stride - 1) / stride, lo, wo);
+    return {lo, hi};
+}
+
+/**
  * Expand one sample (C,H,W) into columns (C*K*K, Ho*Wo).
+ * Each output row is a zero run, an in-bounds segment (a plain copy
+ * at stride 1, a strided gather otherwise) and a zero run, so the
+ * inner loops carry no bounds tests.
  * Parallel across channels (each channel writes a disjoint block of
  * rows); runs inline when already inside a parallel region.
  */
@@ -53,20 +78,27 @@ im2colRaw(const float *x, float *col, std::int64_t c, std::int64_t h,
             for (int kj = 0; kj < kernel; ++kj) {
                 float *dst =
                     col + ((ch * kernel + ki) * kernel + kj) * ho * wo;
+                const ColSpan s = validCols(w, wo, kj, stride, padding);
+                const std::int64_t off = kj - padding;
                 for (std::int64_t oi = 0; oi < ho; ++oi) {
+                    float *drow = dst + oi * wo;
                     const std::int64_t ii = oi * stride - padding + ki;
                     if (ii < 0 || ii >= h) {
-                        for (std::int64_t oj = 0; oj < wo; ++oj)
-                            dst[oi * wo + oj] = 0.0f;
+                        std::fill(drow, drow + wo, 0.0f);
                         continue;
                     }
-                    for (std::int64_t oj = 0; oj < wo; ++oj) {
-                        const std::int64_t jj = oj * stride - padding + kj;
-                        dst[oi * wo + oj] =
-                            (jj < 0 || jj >= w)
-                                ? 0.0f
-                                : x[(ch * h + ii) * w + jj];
+                    const float *xrow = x + (ch * h + ii) * w;
+                    std::fill(drow, drow + s.lo, 0.0f);
+                    if (s.hi > s.lo) {
+                        if (stride == 1) {
+                            std::copy(xrow + (s.lo + off),
+                                      xrow + (s.hi + off), drow + s.lo);
+                        } else {
+                            for (std::int64_t oj = s.lo; oj < s.hi; ++oj)
+                                drow[oj] = xrow[oj * stride + off];
+                        }
                     }
+                    std::fill(drow + s.hi, drow + wo, 0.0f);
                 }
             }
         }
@@ -76,9 +108,11 @@ im2colRaw(const float *x, float *col, std::int64_t c, std::int64_t h,
 
 /**
  * Scatter-add columns (C*K*K, Ho*Wo) back into a sample (C,H,W).
- * The destination must be zero-initialized by the caller. Parallel
- * across channels: every channel scatters into its own (H,W) plane,
- * so there are no write conflicts.
+ * The destination must be zero-initialized by the caller. Each row
+ * adds only its in-bounds segment, in the same order as a per-element
+ * bounds test would, so every destination sums the same terms in the
+ * same order. Parallel across channels: every channel scatters into
+ * its own (H,W) plane, so there are no write conflicts.
  */
 void
 col2imRaw(const float *col, float *x, std::int64_t c, std::int64_t h,
@@ -91,15 +125,24 @@ col2imRaw(const float *col, float *x, std::int64_t c, std::int64_t h,
             for (int kj = 0; kj < kernel; ++kj) {
                 const float *src =
                     col + ((ch * kernel + ki) * kernel + kj) * ho * wo;
+                const ColSpan s = validCols(w, wo, kj, stride, padding);
+                if (s.hi == s.lo)
+                    continue;
+                const std::int64_t off = kj - padding;
                 for (std::int64_t oi = 0; oi < ho; ++oi) {
                     const std::int64_t ii = oi * stride - padding + ki;
                     if (ii < 0 || ii >= h)
                         continue;
-                    for (std::int64_t oj = 0; oj < wo; ++oj) {
-                        const std::int64_t jj = oj * stride - padding + kj;
-                        if (jj < 0 || jj >= w)
-                            continue;
-                        x[(ch * h + ii) * w + jj] += src[oi * wo + oj];
+                    float *xrow = x + (ch * h + ii) * w;
+                    const float *srow = src + oi * wo;
+                    if (stride == 1) {
+                        float *xd = xrow + (s.lo + off);
+                        const float *sd = srow + s.lo;
+                        for (std::int64_t j = 0; j < s.hi - s.lo; ++j)
+                            xd[j] += sd[j];
+                    } else {
+                        for (std::int64_t oj = s.lo; oj < s.hi; ++oj)
+                            xrow[oj * stride + off] += srow[oj];
                     }
                 }
             }

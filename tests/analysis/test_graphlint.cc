@@ -72,8 +72,9 @@ TEST(GraphCapture, RecordsBackwardRootsAndPhases)
     for (const graph::CapturedOp &op : g.ops) {
         saw_forward |= op.phase == graph::Phase::Forward;
         saw_backward |= op.phase == graph::Phase::Backward;
-        if (op.phase == graph::Phase::Forward)
+        if (op.phase == graph::Phase::Forward) {
             EXPECT_TRUE(op.onTape) << op.name;
+        }
     }
     EXPECT_TRUE(saw_forward);
     EXPECT_TRUE(saw_backward);

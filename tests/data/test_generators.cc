@@ -164,8 +164,9 @@ TEST(Translation, TargetIsReversedMappedSource)
     // Bijectivity: no two sources map to the same target.
     std::set<int> targets;
     for (int t : image_of)
-        if (t >= 0)
+        if (t >= 0) {
             EXPECT_TRUE(targets.insert(t).second);
+        }
 }
 
 TEST(Summarization, SummaryTokensAppearInOrderInDocument)

@@ -144,8 +144,9 @@ TEST_F(NetConnFault, DynamicModeKilledConnectionLeavesOthersWhole)
     // server resolved every query it decoded from a surviving
     // connection — a reply or a typed shed, nothing dropped.
     for (const ConnectionStats &c : out.server.connections)
-        if (!c.faultKilled)
+        if (!c.faultKilled) {
             EXPECT_EQ(c.queries, c.replies + c.errorsSent);
+        }
 }
 
 TEST_F(NetConnFault, UnarmedPointCostsNothingAndKillsNothing)

@@ -29,6 +29,7 @@
 #include "net/client.h"
 #include "net/framing.h"
 #include "net/protocol.h"
+#include "net/report.h"
 #include "net/server.h"
 #include "serve/engine.h"
 #include "serve/loadgen.h"
@@ -75,6 +76,24 @@ struct SessionOutcome {
     NetServerStats server;
 };
 
+/** The netbench options of @p cfg's client against @p port. */
+NetBenchOptions
+clientOptions(const SessionConfig &cfg, int port)
+{
+    NetBenchOptions co;
+    co.benchmarkId = cfg.benchmarkId;
+    co.port = port;
+    co.processes = 0; // in-thread workers: sanitizer-visible
+    co.connections = cfg.connections;
+    co.queries = cfg.queries;
+    co.qps = cfg.qps;
+    co.mode = cfg.load;
+    co.inflight = cfg.inflight;
+    co.seed = cfg.clientSeed;
+    co.batching = cfg.batching;
+    return co;
+}
+
 /** One full loopback session; throws what runNetBench throws. */
 SessionOutcome
 runLoopback(const SessionConfig &cfg)
@@ -99,21 +118,9 @@ runLoopback(const SessionConfig &cfg)
     NetServer server(bench, std::move(so));
     server.start();
 
-    NetBenchOptions co;
-    co.benchmarkId = cfg.benchmarkId;
-    co.port = server.boundPort();
-    co.processes = 0; // in-thread workers: sanitizer-visible
-    co.connections = cfg.connections;
-    co.queries = cfg.queries;
-    co.qps = cfg.qps;
-    co.mode = cfg.load;
-    co.inflight = cfg.inflight;
-    co.seed = cfg.clientSeed;
-    co.batching = cfg.batching;
-
     SessionOutcome out;
     try {
-        out.client = runNetBench(co);
+        out.client = runNetBench(clientOptions(cfg, server.boundPort()));
     } catch (...) {
         server.requestStop();
         server.stop();
@@ -205,6 +212,27 @@ TEST(NetServe, ScenarioServesOverTheWire)
     EXPECT_EQ(out.client.replies, 24u);
     ASSERT_TRUE(out.client.digestComplete);
     EXPECT_EQ(bitsOf(out.client.digest), bitsOf(replayFold(cfg)));
+}
+
+TEST(NetServe, BaselineRunsWithTheServersWorkerCount)
+{
+    SessionConfig cfg;
+    cfg.workers = 1;
+    cfg.connections = 2;
+    const SessionOutcome out = runLoopback(cfg);
+    EXPECT_EQ(out.client.serverWorkers, 1);
+
+    // The in-process baseline is built with the count the HelloAck
+    // carried, and the report says which count that was.
+    const NetserveReport report = buildNetserveReport(
+        target(cfg.benchmarkId), clientOptions(cfg, 0), out.client,
+        "epoll", true);
+    ASSERT_TRUE(report.haveInprocess);
+    EXPECT_EQ(report.inprocess.workers, 1);
+    EXPECT_TRUE(report.digestMatch);
+    EXPECT_NE(netserveReportToJson(report).find(
+                  "\"server_workers\": 1,"),
+              std::string::npos);
 }
 
 TEST(NetServe, DynamicClosedLoopShedsInsteadOfCollapsing)

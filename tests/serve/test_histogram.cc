@@ -115,9 +115,10 @@ TEST(LatencyHistogram, BucketEdgesAreConsistent)
         ASSERT_GE(b, 1);
         ASSERT_LT(b, LatencyHistogram::numBuckets());
         EXPECT_LE(LatencyHistogram::bucketLowerUs(b), us * (1 + 1e-12));
-        if (b + 1 < LatencyHistogram::numBuckets())
+        if (b + 1 < LatencyHistogram::numBuckets()) {
             EXPECT_GT(LatencyHistogram::bucketLowerUs(b + 1),
                       us * (1 - 1e-12));
+        }
     }
     // Overflow clamps into the last bucket instead of running off.
     EXPECT_EQ(LatencyHistogram::bucketOf(1e300),

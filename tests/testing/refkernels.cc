@@ -118,6 +118,52 @@ refConv2d(const Tensor &input, const Tensor &weight, const Tensor &bias,
     return out;
 }
 
+RefConvGrads
+refConv2dBackward(const Tensor &input, const Tensor &weight,
+                  const Tensor &grad, int stride, int padding)
+{
+    const std::int64_t n = input.dim(0), c = input.dim(1),
+                       h = input.dim(2), w = input.dim(3);
+    const std::int64_t f = weight.dim(0);
+    const std::int64_t kk = weight.dim(2);
+    const std::int64_t ho = grad.dim(2), wo = grad.dim(3);
+    const float *px = input.data();
+    const float *pw = weight.data();
+    const float *pg = grad.data();
+    RefConvGrads out;
+    out.dx.assign(static_cast<std::size_t>(input.numel()), 0.0);
+    out.dw.assign(static_cast<std::size_t>(weight.numel()), 0.0);
+    for (std::int64_t i = 0; i < n; ++i)
+        for (std::int64_t fo = 0; fo < f; ++fo)
+            for (std::int64_t oi = 0; oi < ho; ++oi)
+                for (std::int64_t oj = 0; oj < wo; ++oj) {
+                    const double g = static_cast<double>(
+                        pg[((i * f + fo) * ho + oi) * wo + oj]);
+                    for (std::int64_t ch = 0; ch < c; ++ch)
+                        for (std::int64_t ki = 0; ki < kk; ++ki) {
+                            const std::int64_t ii =
+                                oi * stride - padding + ki;
+                            if (ii < 0 || ii >= h)
+                                continue;
+                            for (std::int64_t kj = 0; kj < kk; ++kj) {
+                                const std::int64_t jj =
+                                    oj * stride - padding + kj;
+                                if (jj < 0 || jj >= w)
+                                    continue;
+                                const auto xi = static_cast<std::size_t>(
+                                    ((i * c + ch) * h + ii) * w + jj);
+                                const auto wi = static_cast<std::size_t>(
+                                    ((fo * c + ch) * kk + ki) * kk + kj);
+                                out.dx[xi] +=
+                                    g * static_cast<double>(pw[wi]);
+                                out.dw[wi] +=
+                                    g * static_cast<double>(px[xi]);
+                            }
+                        }
+                }
+    return out;
+}
+
 std::vector<double>
 refConvTranspose2d(const Tensor &input, const Tensor &weight,
                    const Tensor &bias, int stride, int padding)

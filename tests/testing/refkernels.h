@@ -79,6 +79,22 @@ std::vector<double> refConv2d(const Tensor &input, const Tensor &weight,
                               const Tensor &bias, int stride,
                               int padding);
 
+/** Gradients of a convolution with respect to its input and weight. */
+struct RefConvGrads {
+    std::vector<double> dx; ///< input-shaped (N,C,H,W)
+    std::vector<double> dw; ///< weight-shaped (F,C,K,K)
+};
+
+/**
+ * Backward of refConv2d for the upstream gradient @p grad
+ * (N,F,Ho,Wo): every output pixel scatters grad * W into dx and
+ * grad * x into dW over its in-bounds taps. The bias gradient is a
+ * plain sum and is not modelled here.
+ */
+RefConvGrads refConv2dBackward(const Tensor &input, const Tensor &weight,
+                               const Tensor &grad, int stride,
+                               int padding);
+
 /** Direct 2-D transposed convolution (weight layout (C,F,K,K)). */
 std::vector<double> refConvTranspose2d(const Tensor &input,
                                        const Tensor &weight,
